@@ -54,7 +54,7 @@ enum StealOutcome {
 /// Per-worker fairness counters, accumulated across every pool this
 /// process runs. Always on: the counters are a handful of adds per
 /// *task* (a task is an entire simulation run), so there is no off
-/// switch to get wrong — they feed `BENCH_engine.json` and, under
+/// switch to get wrong — they feed `perfbench`'s executor layer and, under
 /// `--profile`, the hostprof executor section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
@@ -228,38 +228,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Iterations of the probe task's integer mix. Sized so one task is
-/// tens of microseconds on current hosts — three orders of magnitude
-/// above `Instant` resolution, so the probe's `busy_ns` is a real
-/// measurement rather than timer noise.
-const PROBE_WORK_ITERS: u64 = 1 << 16;
-
-/// One probe task's worth of deterministic spin work: a data-dependent
-/// integer mix whose result is returned (and black-boxed by the caller)
-/// so the optimizer cannot elide the loop.
-fn probe_task_work() -> u64 {
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    for i in 0..PROBE_WORK_ITERS {
-        x = x.wrapping_mul(0xD134_2543_DE82_EF95).rotate_left(23) ^ i;
-    }
-    x
-}
-
-/// Run a calibrated probe pool: `tasks` tasks of identical, non-trivial
-/// spin work on the default worker count. Main-thread measurement
-/// binaries (`perf_baseline`) call this so the per-worker fairness
-/// counters in their output describe this host rather than staying
-/// empty — and since every task does real work, the recorded
-/// `busy_ns`/`idle_ns` split is meaningful instead of pure scheduling
-/// overhead. (An earlier probe ran empty closures; its busy share was
-/// indistinguishable from zero and the baseline's executor section
-/// described nothing but `Instant::now` call latency.)
-pub fn run_probe_pool(tasks: usize) {
-    run_indexed(tasks, default_workers(), |_| {
-        std::hint::black_box(probe_task_work());
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -601,32 +569,6 @@ mod tests {
                 assert!(w.span_drains > 0);
             }
         }
-    }
-
-    #[test]
-    fn probe_pool_records_non_trivial_busy_share() {
-        // The calibrated probe exists so measurement binaries record a
-        // real busy/idle split; guard the calibration here. Deltas only
-        // — EXEC_STATS is process-global — and concurrent tests can
-        // only inflate the figure, so a floor is stable.
-        let busy = || {
-            executor_stats()
-                .workers
-                .iter()
-                .map(|w| w.busy_ns)
-                .sum::<u64>()
-        };
-        let before = busy();
-        run_probe_pool(64);
-        let delta = busy() - before;
-        // 64 tasks × 2^16 dependent multiply-rotates each: even a
-        // heavily throttled host spends well over 5µs per task. An
-        // empty-closure probe (the old bug) measures under 1µs per
-        // task and fails this floor.
-        assert!(
-            delta >= 64 * 5_000,
-            "probe busy time is trivial: {delta} ns across 64 tasks"
-        );
     }
 
     #[test]

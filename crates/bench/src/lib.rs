@@ -20,8 +20,6 @@ pub mod analysis;
 pub mod executor;
 pub mod figures;
 pub mod harness;
-pub mod microtouch;
-pub mod perf;
 pub mod profile;
 pub mod timeseries;
 

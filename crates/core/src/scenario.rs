@@ -457,10 +457,6 @@ pub struct ScenarioConfig {
     pub retransmit_timeout: SimDuration,
     /// Deterministic fault-injection plan ([`FaultPlan::none`] by default).
     pub faults: FaultPlan,
-    /// Capacity of the per-client event-trace ring (0 disables tracing).
-    /// Tracing is for debugging and causality tests; metrics never depend
-    /// on it.
-    pub trace_capacity: usize,
     /// Optional IRQ affinity mask applied to every NIC IRQ line (what
     /// `/proc/irq/N/smp_affinity` writes do). Bit *i* permits core *i*.
     /// A policy choice outside the mask is clamped by the I/O APIC — so a
@@ -501,7 +497,6 @@ impl ScenarioConfig {
             server: ServerParams::default(),
             retransmit_timeout: SimDuration::from_millis(5),
             faults: FaultPlan::none(),
-            trace_capacity: 0,
             irq_affinity_mask: None,
             obs: ObsConfig::default(),
         }

@@ -13,7 +13,8 @@
 //!   option number carrying the core id (≤ 32 cores addressable);
 //! * [`segment`] — MTU/MSS arithmetic for turning 64 KB strips into wire
 //!   packets, including header overhead accounting;
-//! * [`link`] — bandwidth×delay pipes and a store-and-forward switch port;
+//! * [`link`] — bandwidth×delay pipes; the switch is folded into each
+//!   link's propagation delay as a fixed forwarding latency;
 //! * [`nic`] — the client NIC: optional bonding of k×1GbE ports (the
 //!   testbed's "3-Gigabit NIC" is three bonded BCM5715C ports) and
 //!   interrupt coalescing (batch completion → one hardirq).
@@ -27,7 +28,6 @@ pub mod link;
 pub mod nic;
 pub mod rss;
 pub mod segment;
-pub mod switch;
 pub mod tcp;
 
 pub use ethernet::{EthernetFrame, FrameError, MacAddr};
@@ -38,5 +38,4 @@ pub use link::Link;
 pub use nic::{CoalesceParams, InterruptBatch, NicBond};
 pub use rss::{hash_v4_tcp, toeplitz, IndirectionTable, MICROSOFT_KEY};
 pub use segment::{SegmentPlan, ETH_OVERHEAD, IPV4_BASE_HEADER, TCP_HEADER};
-pub use switch::{Forward, Switch};
 pub use tcp::{simulate_transfer, CongPhase, PipeFaults, TcpReceiver, TcpSender, TransferReport};

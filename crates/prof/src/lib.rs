@@ -420,8 +420,8 @@ pub fn phase_of(zone: &str) -> usize {
 }
 
 /// Current cumulative per-phase self-time totals (ns), in [`PHASES`]
-/// order — the quantity `perf_baseline` diffs around a single run to
-/// attribute a scenario's host time.
+/// order — the quantity `perfbench` diffs around a single pass to
+/// attribute a workload's host time to layers.
 pub fn phase_snapshot() -> [u64; NUM_PHASES] {
     report().phase_totals()
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification sweep: build, lint, every test, every example, every
-# figure (quick scale), and the Criterion benches in test mode.
+# figure (quick scale), and the benchmark's output check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +26,7 @@ done
 echo "== figures (quick) =="
 cargo run --release -p sais-bench --bin all_figures -- --quick >/dev/null
 
-echo "== criterion (smoke) =="
-cargo bench -p sais-bench --bench engine -- --test >/dev/null
+echo "== perfbench (output check) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "ALL CHECKS PASSED"
