@@ -1,4 +1,7 @@
-//! Regenerate one experiment: `cargo run --release -p sais-bench --bin abl_policy_zoo [--quick|--full] [--trace <path>] [--metrics <path>]`.
+//! Regenerate one experiment: `cargo run --release -p sais-bench --bin abl_policy_zoo [--quick|--full] [--trace <path>] [--metrics <path>] [--analyze <dir>]`.
+//!
+//! `--trace`, `--metrics` and `--analyze` instrument the fixed demo
+//! scenario (`harness::observability_demo_config`), not this binary's cells.
 fn main() {
     let args = sais_bench::BenchArgs::parse();
     sais_bench::figures::abl_policy_zoo(args.scale);

@@ -1,4 +1,7 @@
-//! Regenerate every table and figure: `cargo run --release -p sais-bench --bin all_figures [--quick|--full] [--trace <path>] [--metrics <path>]`.
+//! Regenerate every table and figure: `cargo run --release -p sais-bench --bin all_figures [--quick|--full] [--trace <path>] [--metrics <path>] [--analyze <dir>]`.
+//!
+//! `--trace`, `--metrics` and `--analyze` instrument the fixed demo
+//! scenario (`harness::observability_demo_config`), not this binary's cells.
 fn main() {
     let args = sais_bench::BenchArgs::parse();
     sais_bench::figures::run_all(args.scale);

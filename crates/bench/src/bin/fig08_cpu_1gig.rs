@@ -1,4 +1,7 @@
-//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig08_cpu_1gig [--quick|--full] [--trace <path>] [--metrics <path>]`.
+//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig08_cpu_1gig [--quick|--full] [--trace <path>] [--metrics <path>] [--analyze <dir>]`.
+//!
+//! `--trace`, `--metrics` and `--analyze` instrument the fixed demo
+//! scenario (`harness::observability_demo_config`), not this binary's cells.
 fn main() {
     let args = sais_bench::BenchArgs::parse();
     sais_bench::figures::fig08_cpu_1gig(args.scale);

@@ -22,7 +22,7 @@
 //! `harness::Sweep::run_cells_named`), so means over seeds are
 //! bit-identical to a sequential loop no matter which worker ran what.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One worker's span of the task range: `[next, end)` still to run.
@@ -230,242 +230,6 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-// ---------------------------------------------------------------------
-// Multi-process shard fabric.
-//
-// `--shards N` extends the in-process pool to N single-binary worker
-// subprocesses: the parent re-spawns its own executable per sweep grid,
-// each worker deterministically rebuilds the same grid from the same
-// scale flags, runs the task subset `t % N == i` through its own
-// work-stealing pool, and prints one `shardtask` line per task — the
-// raw per-run statistics as bit-exact hex-encoded f64s. The parent
-// collects every worker's lines, re-assembles the full `(cell, seed)`
-// slot vector, and folds it in index order, so the Welford accumulation
-// (and therefore every figure CSV) is byte-identical to a
-// single-process run no matter how tasks were sharded.
-
-/// How this process participates in a sharded sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardRole {
-    /// No sharding: the whole grid runs in this process.
-    Single,
-    /// `--shards N` (N ≥ 2): spawn N workers per grid and merge.
-    Parent {
-        /// Worker subprocess count.
-        shards: usize,
-    },
-    /// `--shard-worker i` (hidden, spawned by a parent): run the subset
-    /// `t % shards == index` of grid number `grid`, print, exit.
-    Worker {
-        /// This worker's subset index in `0..shards`.
-        index: usize,
-        /// Total worker count (the parent's `--shards`).
-        shards: usize,
-        /// Which `run_grid` invocation (0-based, in program order) this
-        /// worker was spawned for; earlier grids are skipped.
-        grid: usize,
-    },
-}
-
-/// The process-wide shard configuration, installed once from the CLI.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    /// This process's role.
-    pub role: ShardRole,
-    /// Arguments a spawned worker needs to rebuild the identical grid
-    /// (the scale flag); the parent appends the hidden shard flags.
-    pub worker_args: Vec<String>,
-}
-
-static SHARD_PLAN: OnceLock<ShardPlan> = OnceLock::new();
-
-/// Install the shard plan parsed from the command line. First caller
-/// wins (the plan is derived from `std::env::args`, so every caller in
-/// one process computes the same plan).
-pub fn install_shard_plan(plan: ShardPlan) {
-    let _ = SHARD_PLAN.set(plan);
-}
-
-/// The installed shard plan; [`ShardRole::Single`] when none was
-/// installed (library use, tests).
-pub fn shard_plan() -> &'static ShardPlan {
-    static DEFAULT: ShardPlan = ShardPlan {
-        role: ShardRole::Single,
-        worker_args: Vec::new(),
-    };
-    SHARD_PLAN.get().unwrap_or(&DEFAULT)
-}
-
-/// Grid sequence number: every `run_grid` invocation claims the next
-/// number, in program order. Parent and worker execute the same `main`,
-/// so invocation `g` in the parent is invocation `g` in each worker —
-/// the number is what lets a worker of a multi-grid binary (e.g.
-/// `all_figures`) skip ahead to exactly the grid its parent is waiting
-/// on.
-pub fn next_grid_seq() -> usize {
-    static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Encode one finished task for the worker→parent pipe: the task index
-/// plus each statistic as the 16-hex-digit big-endian bit pattern of its
-/// `f64` — exact round-trip, no decimal formatting loss.
-pub fn encode_task_line(t: usize, vals: &[f64]) -> String {
-    use std::fmt::Write;
-    let mut s = format!("shardtask {t}");
-    for v in vals {
-        write!(s, " {:016x}", v.to_bits()).expect("write to String");
-    }
-    s
-}
-
-/// Decode a [`encode_task_line`] line; `None` for any other line (the
-/// parent ignores unrelated stdout).
-pub fn decode_task_line(line: &str) -> Option<(usize, Vec<f64>)> {
-    let mut it = line.split(' ');
-    if it.next()? != "shardtask" {
-        return None;
-    }
-    let t: usize = it.next()?.parse().ok()?;
-    let vals: Option<Vec<f64>> = it
-        .map(|h| {
-            (h.len() == 16)
-                .then(|| u64::from_str_radix(h, 16).ok().map(f64::from_bits))
-                .flatten()
-        })
-        .collect();
-    Some((t, vals?))
-}
-
-/// Per-grid shard-fabric overhead, recorded by the parent process while
-/// it runs [`collect_sharded`] and finished by
-/// [`note_shard_fold_ns`] once the caller folds the merged task vector.
-#[derive(Debug, Clone, Default)]
-pub struct ShardGridStats {
-    /// Grid sequence number this entry describes.
-    pub grid: usize,
-    /// Worker process count.
-    pub shards: usize,
-    /// Nanoseconds spent spawning the worker processes.
-    pub spawn_ns: u64,
-    /// Per-worker wall time: spawn of the fleet to that worker's exit,
-    /// indexed by shard. Workers run concurrently, so these overlap.
-    pub worker_wall_ns: Vec<u64>,
-    /// Tasks each worker reported.
-    pub worker_tasks: Vec<u64>,
-    /// Nanoseconds the parent spent decoding and re-assembling the task
-    /// vector from worker stdout.
-    pub merge_ns: u64,
-    /// Nanoseconds the caller spent folding the merged vector into final
-    /// statistics (reported via [`note_shard_fold_ns`]; 0 until then).
-    pub fold_ns: u64,
-}
-
-static SHARD_STATS: Mutex<Vec<ShardGridStats>> = Mutex::new(Vec::new());
-
-/// Snapshot the per-grid shard-fabric statistics (empty unless this
-/// process acted as a shard parent).
-pub fn shard_stats() -> Vec<ShardGridStats> {
-    SHARD_STATS.lock().expect("no poisoning").clone()
-}
-
-/// Attribute `ns` of post-merge fold work to grid `grid_seq`'s fabric
-/// stats. No-op when the grid was never sharded in this process.
-pub fn note_shard_fold_ns(grid_seq: usize, ns: u64) {
-    let mut stats = SHARD_STATS.lock().expect("no poisoning");
-    if let Some(g) = stats.iter_mut().find(|g| g.grid == grid_seq) {
-        g.fold_ns += ns;
-    }
-}
-
-/// Parent side of the shard fabric: spawn `shards` copies of the current
-/// executable for grid `grid_seq`, wait for all of them, and re-assemble
-/// the full task vector from their `shardtask` lines. Every task must
-/// arrive exactly once with `width` statistics; anything else — a worker
-/// crash, a malformed line, a missing or duplicate task — is a hard
-/// panic, because a silently incomplete merge would produce
-/// plausible-but-wrong figures.
-///
-/// Lines that are not `shardtask` results are handed to `on_extra` (in
-/// worker order, each worker's stdout in line order) — the hook other
-/// wire protocols ride on, like the `shardwin` telemetry partials of
-/// `--timeseries`. Lines no decoder claims are simply ignored.
-pub fn collect_sharded(
-    total: usize,
-    shards: usize,
-    grid_seq: usize,
-    worker_args: &[String],
-    width: usize,
-    mut on_extra: impl FnMut(&str),
-) -> Vec<Vec<f64>> {
-    let exe = std::env::current_exe().expect("current_exe for shard fan-out");
-    let fleet_start = Instant::now();
-    let children: Vec<std::process::Child> = (0..shards)
-        .map(|i| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(worker_args)
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--shard-worker")
-                .arg(i.to_string())
-                .arg("--shard-grid")
-                .arg(grid_seq.to_string())
-                .stdout(std::process::Stdio::piped());
-            cmd.spawn()
-                .unwrap_or_else(|e| panic!("spawn shard worker {i}: {e}"))
-        })
-        .collect();
-    let mut grid_stats = ShardGridStats {
-        grid: grid_seq,
-        shards,
-        spawn_ns: fleet_start.elapsed().as_nanos() as u64,
-        worker_wall_ns: Vec::with_capacity(shards),
-        worker_tasks: vec![0; shards],
-        merge_ns: 0,
-        fold_ns: 0,
-    };
-    let mut out: Vec<Option<Vec<f64>>> = vec![None; total];
-    for (i, child) in children.into_iter().enumerate() {
-        let o = child
-            .wait_with_output()
-            .unwrap_or_else(|e| panic!("wait for shard worker {i}: {e}"));
-        // Workers run concurrently but are reaped in order, so each wall
-        // figure is fleet start → that worker's reap: an upper bound that
-        // is exact for the slowest-so-far worker.
-        grid_stats
-            .worker_wall_ns
-            .push(fleet_start.elapsed().as_nanos() as u64);
-        assert!(
-            o.status.success(),
-            "shard worker {i} failed with {:?}",
-            o.status.code()
-        );
-        let merge_start = Instant::now();
-        for line in String::from_utf8_lossy(&o.stdout).lines() {
-            let Some((t, vals)) = decode_task_line(line) else {
-                on_extra(line);
-                continue;
-            };
-            assert!(t < total, "shard worker {i} reported unknown task {t}");
-            assert_eq!(
-                t % shards,
-                i,
-                "shard worker {i} reported task {t} outside its subset"
-            );
-            assert_eq!(vals.len(), width, "malformed shard line: {line}");
-            assert!(out[t].is_none(), "duplicate shard task {t}");
-            out[t] = Some(vals);
-            grid_stats.worker_tasks[i] += 1;
-        }
-        grid_stats.merge_ns += merge_start.elapsed().as_nanos() as u64;
-    }
-    SHARD_STATS.lock().expect("no poisoning").push(grid_stats);
-    out.into_iter()
-        .enumerate()
-        .map(|(t, o)| o.unwrap_or_else(|| panic!("shard task {t} never arrived")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,54 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_lines_round_trip_bit_exactly() {
-        // Values chosen to break decimal formatting: subnormals, -0.0,
-        // NaN payloads, and a long irrational all survive the hex pipe.
-        let vals = [
-            0.1 + 0.2,
-            -0.0,
-            f64::MIN_POSITIVE / 2.0,
-            f64::from_bits(0x7ff8_0000_0000_1234),
-            std::f64::consts::PI,
-        ];
-        let line = encode_task_line(42, &vals);
-        let (t, back) = decode_task_line(&line).expect("round trip");
-        assert_eq!(t, 42);
-        assert_eq!(back.len(), vals.len());
-        for (a, b) in vals.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "bit-exact transfer");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_noise_and_malformed_lines() {
-        assert_eq!(decode_task_line("transfer,servers,SAIs"), None);
-        assert_eq!(decode_task_line("shardtask"), None);
-        assert_eq!(decode_task_line("shardtask x 0000000000000000"), None);
-        assert_eq!(decode_task_line("shardtask 3 123"), None, "short hex");
-        assert_eq!(
-            decode_task_line("shardtask 3 00000000000000zz"),
-            None,
-            "non-hex digits"
-        );
-    }
-
-    #[test]
-    fn default_shard_plan_is_single() {
-        // Library/test use never installs a plan; the default must be a
-        // plain in-process run.
-        assert_eq!(shard_plan().role, ShardRole::Single);
-        assert!(shard_plan().worker_args.is_empty());
-    }
-
-    #[test]
-    fn grid_seq_is_monotone() {
-        let a = next_grid_seq();
-        let b = next_grid_seq();
-        assert!(b > a);
-    }
-
-    #[test]
     fn fairness_counters_accumulate() {
         // EXEC_STATS is process-global and other tests run pools
         // concurrently, so assert on deltas, not absolutes.
@@ -569,16 +285,6 @@ mod tests {
                 assert!(w.span_drains > 0);
             }
         }
-    }
-
-    #[test]
-    fn shard_fold_note_ignores_unknown_grid() {
-        // No parent ran in-process: the note must be a no-op, not a panic.
-        note_shard_fold_ns(usize::MAX, 1);
-        assert!(
-            shard_stats().iter().all(|g| g.grid != usize::MAX),
-            "unknown grid not materialised"
-        );
     }
 
     #[test]

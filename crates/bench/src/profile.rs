@@ -1,12 +1,12 @@
 //! Host-profile export: the `--profile <path>` artifact set.
 //!
 //! Serializes one process's [`sais_prof`] zone report plus the always-on
-//! executor and shard-fabric counters into three views of the same data:
+//! executor counters into three views of the same data:
 //!
 //! 1. **`sais-hostprof/v1` JSON** at `path` — the full zone trees per
-//!    thread, the additive phase breakdown, per-worker executor fairness
-//!    counters, and per-grid shard-fabric overhead. Machine-readable,
-//!    schema-tagged like every other artifact this repo emits.
+//!    thread, the additive phase breakdown and per-worker executor
+//!    fairness counters. Machine-readable, schema-tagged like every other
+//!    artifact this repo emits.
 //! 2. **Collapsed stacks** at `path` with the extension replaced by
 //!    `.folded` — one `thread;zone;child self_ns` line per tree node,
 //!    directly consumable by `flamegraph.pl` or inferno.
@@ -15,9 +15,9 @@
 //!
 //! The profiler reads host clocks only, so all of this is bit-inert for
 //! simulation outputs: figure CSVs and telemetry JSONL are byte-identical
-//! with `--profile` on or off (CI pins this at shard counts 1 and 2).
+//! with `--profile` on or off (CI pins this).
 
-use crate::executor::{ExecutorStats, ShardGridStats};
+use crate::executor::ExecutorStats;
 use sais_prof::{ZoneNode, ZoneReport, NUM_PHASES, PHASES};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -84,7 +84,7 @@ pub fn phase_breakdown(
 }
 
 /// Render the full `sais-hostprof/v1` document.
-pub fn render_json(report: &ZoneReport, exec: &ExecutorStats, fabric: &[ShardGridStats]) -> String {
+pub fn render_json(report: &ZoneReport, exec: &ExecutorStats) -> String {
     let mut s = String::with_capacity(4096);
     let _ = write!(
         s,
@@ -126,35 +126,7 @@ pub fn render_json(report: &ZoneReport, exec: &ExecutorStats, fabric: &[ShardGri
             w.tasks, w.steals_hit, w.steals_missed, w.span_drains, w.busy_ns, w.idle_ns
         );
     }
-    s.push_str("]},\n  \"shard_fabric\": [");
-    for (i, g) in fabric.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"grid\":{},\"shards\":{},\"spawn_ns\":{},\"merge_ns\":{},\"fold_ns\":{},\"worker_wall_ns\":[",
-            g.grid, g.shards, g.spawn_ns, g.merge_ns, g.fold_ns
-        );
-        for (j, ns) in g.worker_wall_ns.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{ns}");
-        }
-        s.push_str("],\"worker_tasks\":[");
-        for (j, n) in g.worker_tasks.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{n}");
-        }
-        s.push_str("]}");
-    }
-    if !fabric.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
+    s.push_str("]}\n}\n");
     s
 }
 
@@ -164,8 +136,7 @@ pub fn render_json(report: &ZoneReport, exec: &ExecutorStats, fabric: &[ShardGri
 pub fn write_profile(path: &Path) {
     let report = sais_prof::report();
     let exec = crate::executor::executor_stats();
-    let fabric = crate::executor::shard_stats();
-    let json = render_json(&report, &exec, &fabric);
+    let json = render_json(&report, &exec);
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!("[profile] {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
@@ -236,16 +207,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_parser() {
-        let fabric = vec![ShardGridStats {
-            grid: 0,
-            shards: 2,
-            spawn_ns: 11,
-            worker_wall_ns: vec![500, 700],
-            worker_tasks: vec![4, 4],
-            merge_ns: 9,
-            fold_ns: 3,
-        }];
-        let s = render_json(&sample_report(), &sample_exec(), &fabric);
+        let s = render_json(&sample_report(), &sample_exec());
         let v = JsonValue::parse(&s).expect("valid JSON");
         assert_eq!(v.get("schema").and_then(JsonValue::as_str), Some(SCHEMA));
         assert_eq!(
@@ -286,33 +248,13 @@ mod tests {
             workers[1].get("steals_missed").and_then(JsonValue::as_u64),
             Some(2)
         );
-        let fab = v.get("shard_fabric").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(fab.len(), 1);
-        assert_eq!(fab[0].get("shards").and_then(JsonValue::as_u64), Some(2));
-        let walls = fab[0]
-            .get("worker_wall_ns")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert_eq!(walls.len(), 2);
-    }
-
-    #[test]
-    fn empty_fabric_renders_empty_array() {
-        let s = render_json(&sample_report(), &sample_exec(), &[]);
-        let v = JsonValue::parse(&s).expect("valid JSON");
-        assert_eq!(
-            v.get("shard_fabric")
-                .and_then(JsonValue::as_array)
-                .map(<[JsonValue]>::len),
-            Some(0)
-        );
     }
 
     #[test]
     fn labels_are_escaped() {
         let mut r = sample_report();
         r.threads[0].label = "we\"ird\\lab\nel".into();
-        let s = render_json(&r, &sample_exec(), &[]);
+        let s = render_json(&r, &sample_exec());
         let v = JsonValue::parse(&s).expect("escapes keep the JSON valid");
         let threads = v.get("threads").and_then(JsonValue::as_array).unwrap();
         assert_eq!(

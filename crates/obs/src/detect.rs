@@ -25,7 +25,7 @@
 /// One closed telemetry window, summarized with integer statistics.
 ///
 /// All fields are exact integers so that same-epoch summaries from
-/// different shards merge without rounding (see the window module in
+/// different runs fold without rounding (see the window module in
 /// `sais-metrics`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
