@@ -1,7 +1,7 @@
 //! One function per paper table/figure, plus the ablation studies from
 //! DESIGN.md. Each prints paper-style rows and writes CSV.
 
-use crate::harness::{emit, Scale, Sweep};
+use crate::harness::{emit, CellStats, Scale, Sweep};
 use sais_core::analysis;
 use sais_core::memsim::{MemSimConfig, MemSimMode};
 use sais_core::scenario::{FaultPlan, PolicyChoice, ScenarioConfig};
@@ -24,20 +24,58 @@ fn testbed(ports: usize, servers: usize, transfer: u64) -> ScenarioConfig {
     }
 }
 
-/// Generic transfer×servers sweep, reporting one derived metric.
-fn sweep_grid(
-    name: &str,
-    title: &str,
-    ports: usize,
-    scale: Scale,
-    value: impl Fn(&crate::harness::CellStats) -> f64,
-    unit: &str,
-    improvement_is_reduction: bool,
-) {
+/// One simulated paper grid: the paper sweep's policy labels and a
+/// `(transfer, servers, baseline, candidate)` row per cell, in
+/// `TRANSFER_SIZES × SERVER_COUNTS` order.
+struct PaperGrid {
+    labels: (&'static str, &'static str),
+    rows: Vec<(u64, usize, CellStats, CellStats)>,
+}
+
+/// Simulate the transfer×servers grid on the `ports`-port testbed under
+/// the paper's irqbalance-vs-SAIs sweep. `label` tags the progress lines.
+fn paper_grid(label: &str, ports: usize, scale: Scale) -> PaperGrid {
     let sweep = Sweep::paper(scale);
-    let (bl, cl) = sweep.labels();
+    let mut cells = Vec::new();
+    for &ts in &TRANSFER_SIZES {
+        for &srv in &SERVER_COUNTS {
+            cells.push((ts, srv));
+        }
+    }
+    let cfgs = cells
+        .iter()
+        .map(|&(ts, srv)| testbed(ports, srv, ts))
+        .collect();
+    let results = sweep.run_cells_named(label, cfgs);
+    PaperGrid {
+        labels: sweep.labels(),
+        rows: cells
+            .into_iter()
+            .zip(results)
+            .map(|((ts, srv), (base, cand))| (ts, srv, base, cand))
+            .collect(),
+    }
+}
+
+/// One figure's view of a paper grid: which statistic it reports, in
+/// which unit, and whether the improvement is a reduction (miss rate,
+/// CPU) or a speed-up (bandwidth).
+struct GridView {
+    name: &'static str,
+    title: &'static str,
+    /// NIC ports of the testbed whose grid this view reads.
+    ports: usize,
+    value: fn(&CellStats) -> f64,
+    unit: &'static str,
+    improvement_is_reduction: bool,
+}
+
+/// Print and persist one view of a simulated grid.
+fn render_grid(view: &GridView, grid: &PaperGrid) {
+    let (bl, cl) = grid.labels;
+    let unit = view.unit;
     let mut table = Table::new(
-        title,
+        view.title,
         &[
             "transfer",
             "servers",
@@ -46,18 +84,10 @@ fn sweep_grid(
             "improvement",
         ],
     );
-    let mut cells = Vec::new();
-    for &ts in &TRANSFER_SIZES {
-        for &srv in &SERVER_COUNTS {
-            cells.push((ts, srv, testbed(ports, srv, ts)));
-        }
-    }
-    let cfgs = cells.iter().map(|(_, _, c)| c.clone()).collect();
-    let results = sweep.run_cells_named(name, cfgs);
-    let mut chart = BarChart::new(format!("{title} (chart)"), &[bl, cl]);
-    for ((ts, srv, _), (base, cand)) in cells.iter().zip(results) {
-        let (b, c) = (value(&base), value(&cand));
-        let imp = if improvement_is_reduction {
+    let mut chart = BarChart::new(format!("{} (chart)", view.title), &[bl, cl]);
+    for (ts, srv, base, cand) in &grid.rows {
+        let (b, c) = ((view.value)(base), (view.value)(cand));
+        let imp = if view.improvement_is_reduction {
             sais_metrics::counters::reduction(b, c)
         } else {
             sais_metrics::counters::speedup(b, c)
@@ -71,115 +101,135 @@ fn sweep_grid(
         ]);
         chart.group(format!("{}/{srv}srv", bytes_human(*ts)), &[b, c]);
     }
-    emit(name, &table);
+    emit(view.name, &table);
     eprintln!("{}", chart.render());
 }
+
+/// Simulate the grid one view reads and render that view alone.
+fn grid_figure(view: &GridView, scale: Scale) {
+    render_grid(view, &paper_grid(view.name, view.ports, scale));
+}
+
+const FIG05: GridView = GridView {
+    name: "fig05_bandwidth_3gig",
+    title: "Fig. 5 — IOR read bandwidth, 3-Gigabit NIC (paper max speed-up: +23.57% @48 servers)",
+    ports: 3,
+    value: |s| s.bw.mean() / 1e6,
+    unit: "MB/s",
+    improvement_is_reduction: false,
+};
+
+const FIG05X: GridView = GridView {
+    name: "fig05x_bandwidth_1gig",
+    title: "§V-C — IOR read bandwidth, 1-Gigabit NIC (paper peak speed-up: +6.05%)",
+    ports: 1,
+    value: |s| s.bw.mean() / 1e6,
+    unit: "MB/s",
+    improvement_is_reduction: false,
+};
+
+const FIG06: GridView = GridView {
+    name: "fig06_missrate_1gig",
+    title: "Fig. 6 — L2 miss rate %, 1-Gigabit NIC (improvement = reduction)",
+    ports: 1,
+    value: |s| s.miss.mean() * 100.0,
+    unit: "%",
+    improvement_is_reduction: true,
+};
+
+const FIG07: GridView = GridView {
+    name: "fig07_missrate_3gig",
+    title: "Fig. 7 — L2 miss rate %, 3-Gigabit NIC (paper: ~40% reduction)",
+    ports: 3,
+    value: |s| s.miss.mean() * 100.0,
+    unit: "%",
+    improvement_is_reduction: true,
+};
+
+const FIG08: GridView = GridView {
+    name: "fig08_cpu_1gig",
+    title: "Fig. 8 — CPU utilization %, 1-Gigabit NIC (paper max 15.13%; irqbalance burns more)",
+    ports: 1,
+    value: |s| s.util.mean() * 100.0,
+    unit: "%",
+    improvement_is_reduction: true,
+};
+
+const FIG09: GridView = GridView {
+    name: "fig09_cpu_3gig",
+    title: "Fig. 9 — CPU utilization %, 3-Gigabit NIC (irqbalance burns more on data movement)",
+    ports: 3,
+    value: |s| s.util.mean() * 100.0,
+    unit: "%",
+    improvement_is_reduction: true,
+};
+
+const FIG10: GridView = GridView {
+    name: "fig10_unhalted_1gig",
+    title:
+        "Fig. 10 — CPU_CLK_UNHALTED (1e9 cycles), 1-Gigabit NIC (paper: up to 27.14% improvement)",
+    ports: 1,
+    value: |s| s.unhalted.mean() / 1e9,
+    unit: "1e9cyc",
+    improvement_is_reduction: true,
+};
+
+const FIG11: GridView = GridView {
+    name: "fig11_unhalted_3gig",
+    title:
+        "Fig. 11 — CPU_CLK_UNHALTED (1e9 cycles), 3-Gigabit NIC (paper: up to 48.57% improvement)",
+    ports: 3,
+    value: |s| s.unhalted.mean() / 1e9,
+    unit: "1e9cyc",
+    improvement_is_reduction: true,
+};
+
+/// Every view of the two paper grids, in [`run_all`]'s output order.
+const GRID_VIEWS: [&GridView; 8] = [
+    &FIG05, &FIG05X, &FIG06, &FIG07, &FIG08, &FIG09, &FIG10, &FIG11,
+];
 
 /// Fig. 5: I/O bandwidth, 3-Gigabit NIC (paper: SAIs wins everywhere,
 /// max +23.57 % at 48 servers).
 pub fn fig05_bandwidth_3gig(scale: Scale) {
-    sweep_grid(
-        "fig05_bandwidth_3gig",
-        "Fig. 5 — IOR read bandwidth, 3-Gigabit NIC (paper max speed-up: +23.57% @48 servers)",
-        3,
-        scale,
-        |s| s.bw.mean() / 1e6,
-        "MB/s",
-        false,
-    );
+    grid_figure(&FIG05, scale);
 }
 
 /// §V-C: bandwidth with the single 1-Gigabit NIC (paper peak +6.05 %,
 /// NIC-bound).
 pub fn fig05x_bandwidth_1gig(scale: Scale) {
-    sweep_grid(
-        "fig05x_bandwidth_1gig",
-        "§V-C — IOR read bandwidth, 1-Gigabit NIC (paper peak speed-up: +6.05%)",
-        1,
-        scale,
-        |s| s.bw.mean() / 1e6,
-        "MB/s",
-        false,
-    );
+    grid_figure(&FIG05X, scale);
 }
 
 /// Fig. 6: L2 cache miss rate, 1-Gigabit NIC.
 pub fn fig06_missrate_1gig(scale: Scale) {
-    sweep_grid(
-        "fig06_missrate_1gig",
-        "Fig. 6 — L2 miss rate %, 1-Gigabit NIC (improvement = reduction)",
-        1,
-        scale,
-        |s| s.miss.mean() * 100.0,
-        "%",
-        true,
-    );
+    grid_figure(&FIG06, scale);
 }
 
 /// Fig. 7: L2 cache miss rate, 3-Gigabit NIC (paper: ≈40 % reduction).
 pub fn fig07_missrate_3gig(scale: Scale) {
-    sweep_grid(
-        "fig07_missrate_3gig",
-        "Fig. 7 — L2 miss rate %, 3-Gigabit NIC (paper: ~40% reduction)",
-        3,
-        scale,
-        |s| s.miss.mean() * 100.0,
-        "%",
-        true,
-    );
+    grid_figure(&FIG07, scale);
 }
 
 /// Fig. 8: CPU utilization, 1-Gigabit NIC (paper max 15.13 % — NIC-bound).
 pub fn fig08_cpu_1gig(scale: Scale) {
-    sweep_grid(
-        "fig08_cpu_1gig",
-        "Fig. 8 — CPU utilization %, 1-Gigabit NIC (paper max 15.13%; irqbalance burns more)",
-        1,
-        scale,
-        |s| s.util.mean() * 100.0,
-        "%",
-        true,
-    );
+    grid_figure(&FIG08, scale);
 }
 
 /// Fig. 9: CPU utilization, 3-Gigabit NIC.
 pub fn fig09_cpu_3gig(scale: Scale) {
-    sweep_grid(
-        "fig09_cpu_3gig",
-        "Fig. 9 — CPU utilization %, 3-Gigabit NIC (irqbalance burns more on data movement)",
-        3,
-        scale,
-        |s| s.util.mean() * 100.0,
-        "%",
-        true,
-    );
+    grid_figure(&FIG09, scale);
 }
 
 /// Fig. 10: CPU_CLK_UNHALTED, 1-Gigabit NIC (paper: SAIs up to 27.14 %
 /// fewer unhalted cycles).
 pub fn fig10_unhalted_1gig(scale: Scale) {
-    sweep_grid(
-        "fig10_unhalted_1gig",
-        "Fig. 10 — CPU_CLK_UNHALTED (1e9 cycles), 1-Gigabit NIC (paper: up to 27.14% improvement)",
-        1,
-        scale,
-        |s| s.unhalted.mean() / 1e9,
-        "1e9cyc",
-        true,
-    );
+    grid_figure(&FIG10, scale);
 }
 
 /// Fig. 11: CPU_CLK_UNHALTED, 3-Gigabit NIC (paper: up to 48.57 %).
 pub fn fig11_unhalted_3gig(scale: Scale) {
-    sweep_grid(
-        "fig11_unhalted_3gig",
-        "Fig. 11 — CPU_CLK_UNHALTED (1e9 cycles), 3-Gigabit NIC (paper: up to 48.57% improvement)",
-        3,
-        scale,
-        |s| s.unhalted.mean() / 1e9,
-        "1e9cyc",
-        true,
-    );
+    grid_figure(&FIG11, scale);
 }
 
 /// Fig. 12: multi-client aggregate bandwidth (8 servers, 1 MB transfers;
@@ -693,15 +743,20 @@ pub fn tab_stages(scale: Scale) {
 }
 
 /// Run every figure and ablation at the given scale.
+///
+/// Figs. 5–11 are eight views of two grids (3-Gig and 1-Gig testbed), so
+/// each grid is simulated once and every view renders from it.
 pub fn run_all(scale: Scale) {
-    fig05_bandwidth_3gig(scale);
-    fig05x_bandwidth_1gig(scale);
-    fig06_missrate_1gig(scale);
-    fig07_missrate_3gig(scale);
-    fig08_cpu_1gig(scale);
-    fig09_cpu_3gig(scale);
-    fig10_unhalted_1gig(scale);
-    fig11_unhalted_3gig(scale);
+    let grid_3gig = paper_grid("paper_grid_3gig", 3, scale);
+    let grid_1gig = paper_grid("paper_grid_1gig", 1, scale);
+    for view in GRID_VIEWS {
+        let grid = if view.ports == 1 {
+            &grid_1gig
+        } else {
+            &grid_3gig
+        };
+        render_grid(view, grid);
+    }
     fig12_multiclient(scale);
     fig14_memory_sim(scale);
     tab_analysis_model(scale);

@@ -8,6 +8,8 @@
 //! keyed by policy label and window epoch. All window payloads are
 //! integers, so the fold is exact, associative and commutative: the merged
 //! series is byte-identical no matter how the grid was scheduled.
+//! `all_figures` simulates each paper grid once for all the figures that
+//! view it, so its export folds each simulated run exactly once.
 //!
 //! Binaries that never run a sweep grid (`fig12_multiclient`,
 //! `fig14_memory_sim`, `fig_faults`, `tab_latency`, `tab_stages` and the

@@ -4,6 +4,8 @@
 //! kernel packet buffer, page-cache page and user buffer is a range of
 //! simulated physical addresses, allocated once and never reused while live.
 
+use crate::extent::GROUP_LINES;
+
 /// A cache-line-granular address: the line index (byte address / line size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(pub u64);
@@ -70,6 +72,15 @@ impl AddrRange {
 /// never alias a live one and fake cache hits are impossible. The 64-bit
 /// space cannot be exhausted by any realistic run (10 GB × thousands of
 /// requests ≪ 2^64).
+///
+/// The space starts one whole extent group (64 lines; 4 KiB at 64-byte
+/// lines) above zero, so every allocation whose length is a multiple of
+/// the group size — page-cache pages, 64 KB strip buffers, user buffers —
+/// starts and ends on a group boundary. The memory system's extent fast
+/// paths classify whole aligned groups in O(1); a misaligned buffer would
+/// split every group it covers between two allocations. Where the space
+/// starts changes no statistic: addresses reach nothing but the memory
+/// system, and a constant line offset only rotates the set index.
 #[derive(Debug, Clone)]
 pub struct AddrAlloc {
     next: u64,
@@ -85,8 +96,9 @@ impl AddrAlloc {
             "line size must be a power of two"
         );
         AddrAlloc {
-            // Start above the null page, mirroring real kernels.
-            next: line_size,
+            // Leave one whole group unmapped below the first allocation:
+            // a null page, and the group alignment described above.
+            next: GROUP_LINES * line_size,
             line_size,
             allocated: 0,
         }
@@ -161,6 +173,19 @@ mod tests {
         assert!(r1.end() <= r2.start);
         assert!(r2.end() <= r3.start);
         assert_eq!(a.allocated_bytes(), 100 + 1 + 65536);
+    }
+
+    #[test]
+    fn group_multiple_allocations_start_on_group_boundaries() {
+        for line in [32u64, 64, 128] {
+            let group = GROUP_LINES * line;
+            let mut a = AddrAlloc::new(line);
+            let first = a.alloc(1 << 20);
+            assert!(first.start > 0, "address zero stays unmapped");
+            assert_eq!(first.start % group, 0, "{line}-byte lines");
+            a.alloc(64 << 10);
+            assert_eq!(a.alloc(64 << 10).start % group, 0, "{line}-byte lines");
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! A fast integer-keyed hash map used for the line directory.
+//! A fast integer-keyed hash map for the model's small lookup tables.
 //!
-//! The directory is touched once per cache-line operation — the hottest
-//! path in the whole simulator — and `std`'s SipHash is needlessly slow for
-//! `u64` keys. This is the well-known Fx multiply-rotate hash (as used by
-//! rustc) wrapped for `std::collections::HashMap`, implemented locally so no
-//! extra dependency is needed.
+//! `sais-core`'s `Cluster` keeps its segment-plan and lossless-TCP memo
+//! tables (and, in debug builds, the slab oracle's id index) in these
+//! maps. The plan memo is probed once per strip, and `std`'s SipHash is
+//! needlessly slow for integer keys.
+//! (The line directory itself is a paged dense array, see the private
+//! `linetab` module.) This is the well-known Fx multiply-rotate hash (as
+//! used by rustc) wrapped for `std::collections::HashMap`, implemented
+//! locally so no extra dependency is needed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

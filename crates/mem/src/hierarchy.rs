@@ -159,9 +159,7 @@ impl MemorySystem {
         MemorySystem {
             params,
             caches,
-            // Only resident lines have entries, so worst case is every way
-            // of every cache full.
-            directory: LineTable::with_capacity(cores * lines_per_cache),
+            directory: LineTable::default(),
             extents: ExtentMap::default(),
             extents_on,
             set_shift: sets.trailing_zeros(),

@@ -19,11 +19,19 @@
 //! reads, so evictions never come back to clear their directory entry
 //! (see [`crate::MemorySystem`]). The table is therefore insert-only —
 //! stale entries are overwritten in place when their line is re-filled —
-//! and carries no per-page liveness bookkeeping at all. Directory memory
-//! tracks the simulation's total *address footprint* (4 bytes per line
-//! ever resident, 16 KiB pages) rather than instantaneous residency —
-//! the price of keeping the streaming eviction path free of scattered
-//! directory writes.
+//! and carries no per-page liveness bookkeeping at all: a page, once
+//! allocated, lives as long as the table — the price of keeping the
+//! streaming eviction path free of scattered directory writes.
+//!
+//! Pages are allocated only where a path writes directory entries: the
+//! exact per-line walk, a masked partial-group fill, a non-virtual
+//! whole-group fill, or the materialisation of a virtual group. A whole
+//! group filled *virtually* keeps its directory in the extent summary
+//! word (see [`crate::extent`]) and never touches the table, so a stream
+//! of group-aligned buffers whose fills land virtually allocates no
+//! pages. Directory memory therefore tracks the lines those paths ever
+//! wrote (4 bytes each, in 16 KiB pages), not the whole address
+//! footprint.
 //!
 //! Values pack `(owner core, global way slot)` so that the memory system
 //! can jump straight to the owning way on a hit or an invalidation
@@ -77,13 +85,6 @@ pub(crate) struct LineTable {
 }
 
 impl LineTable {
-    /// An empty table. (`max_entries` bounds live lines, not key range,
-    /// so there is nothing useful to pre-size; kept for symmetry with the
-    /// memory system's capacity reasoning.)
-    pub(crate) fn with_capacity(_max_entries: usize) -> Self {
-        LineTable::default()
-    }
-
     /// Entries holding a value (live or stale). O(pages); diagnostics
     /// only.
     #[cfg(test)]
@@ -169,7 +170,7 @@ mod tests {
 
     #[test]
     fn insert_get_round_trip() {
-        let mut t = LineTable::with_capacity(8);
+        let mut t = LineTable::default();
         for i in 0..100u64 {
             t.insert(i * 3, pack((i % 4) as usize, i as u32));
         }
@@ -185,7 +186,7 @@ mod tests {
 
     #[test]
     fn overwrite_keeps_single_entry() {
-        let mut t = LineTable::with_capacity(4);
+        let mut t = LineTable::default();
         t.insert(7, pack(0, 1));
         t.insert(7, pack(3, 9));
         assert_eq!(t.len(), 1);
@@ -195,7 +196,7 @@ mod tests {
 
     #[test]
     fn slot_ptr_reads_empty_then_inserts() {
-        let mut t = LineTable::with_capacity(4);
+        let mut t = LineTable::default();
         let s = t.slot_ptr(42);
         assert_eq!(*s, EMPTY);
         *s = pack(2, 5);
@@ -209,7 +210,7 @@ mod tests {
 
     #[test]
     fn keys_on_distinct_pages() {
-        let mut t = LineTable::with_capacity(4);
+        let mut t = LineTable::default();
         let far = [0u64, PAGE_LINES as u64, 10 * PAGE_LINES as u64 + 17];
         for (n, &k) in far.iter().enumerate() {
             t.insert(k, pack(1, n as u32));

@@ -9,7 +9,7 @@
 //! touches that flip groups between whole, mixed and empty.
 
 use proptest::prelude::*;
-use sais_mem::{AddrRange, LineAddr, MemParams, MemorySystem};
+use sais_mem::{AddrAlloc, AddrRange, LineAddr, MemParams, MemorySystem};
 
 /// A geometry above the extent gate: 64 sets of `assoc` ways. Lines 64
 /// apart alias the same set, so consecutive groups fight for ways and
@@ -202,6 +202,38 @@ fn fast_paths_engage_on_canonical_regimes() {
         0,
         "no exact-walk lines in these regimes"
     );
+    m.check_invariants();
+}
+
+#[test]
+fn allocator_buffers_take_only_whole_group_paths() {
+    // The write path's shape at the testbed geometry: one core fills a
+    // 1 MiB user buffer, then copies it strip by strip into fresh 64 KiB
+    // kernel buffers. The allocator hands out group-aligned buffers, so
+    // every touch covers whole groups and nothing falls back to a masked
+    // fill or the exact walk.
+    let p = MemParams::default();
+    let line = p.line_size;
+    let mut alloc = AddrAlloc::new(line);
+    let user = alloc.alloc(1 << 20);
+    assert_eq!(
+        user.start % (64 * line),
+        0,
+        "first allocation starts on a group boundary"
+    );
+    let mut m = MemorySystem::new(1, p);
+    assert!(m.extents_enabled());
+    for _request in 0..2 {
+        m.touch(0, user);
+        for strip in user.chunks(64 << 10) {
+            m.touch(0, strip);
+            m.touch(0, alloc.alloc(strip.bytes));
+        }
+    }
+    let stats = m.extent_stats();
+    assert_eq!(stats.masked_fill_lines, 0, "{stats:?}");
+    assert_eq!(stats.fallback_lines, 0, "{stats:?}");
+    assert!(stats.whole_fill_groups > 0, "{stats:?}");
     m.check_invariants();
 }
 

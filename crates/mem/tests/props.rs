@@ -3,6 +3,52 @@
 use proptest::prelude::*;
 use sais_mem::{AddrRange, MemParams, MemorySystem, SetAssocCache};
 
+/// Replay `ops` (core, start line, length in lines) on `a` and, shifted
+/// by `k` lines, on `b`, asserting equal per-touch classification and
+/// equal per-core and global statistics.
+fn assert_offset_invariant(
+    mut a: MemorySystem,
+    mut b: MemorySystem,
+    k: u64,
+    ops: &[(usize, u64, u64)],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let line = a.params().line_size;
+    for &(core, start_line, len_lines) in ops {
+        let ra = AddrRange::new(start_line * line, len_lines * line);
+        let rb = AddrRange::new((start_line + k) * line, len_lines * line);
+        let (ca, cb) = (a.touch(core, ra), b.touch(core, rb));
+        prop_assert_eq!(
+            ca,
+            cb,
+            "classification diverged on {:?} at core {}",
+            ra,
+            core
+        );
+    }
+    for c in 0..a.cores() {
+        let (sa, sb) = (&a.cache(c).stats, &b.cache(c).stats);
+        prop_assert_eq!(sa.hits.get(), sb.hits.get(), "hits, core {}", c);
+        prop_assert_eq!(sa.misses.get(), sb.misses.get(), "misses, core {}", c);
+        prop_assert_eq!(
+            sa.evictions.get(),
+            sb.evictions.get(),
+            "evictions, core {}",
+            c
+        );
+        prop_assert_eq!(
+            sa.invalidations.get(),
+            sb.invalidations.get(),
+            "invalidations, core {}",
+            c
+        );
+    }
+    prop_assert_eq!(a.c2c_transfers(), b.c2c_transfers());
+    prop_assert_eq!(a.dram_fetches(), b.dram_fetches());
+    a.check_invariants();
+    b.check_invariants();
+    Ok(())
+}
+
 proptest! {
     /// Occupancy never exceeds capacity, and a just-inserted line is always
     /// resident, under any insertion sequence.
@@ -136,5 +182,34 @@ proptest! {
             expected_c2c += 4;
         }
         prop_assert_eq!(m.c2c_transfers(), expected_c2c);
+    }
+
+    /// Where the address space starts changes no statistic: shifting
+    /// every touched range by a constant `k` lines only rotates the set
+    /// index, so each set sees the same access sequence and makes the
+    /// same LRU decisions. `k` is never a multiple of 64 (nor, the set
+    /// count being a power of two ≥ 64, of the set count), so the shifted
+    /// trace straddles extent groups wherever the original is aligned and
+    /// vice versa. Checked with the extent summaries on and after
+    /// `disable_extents()`.
+    #[test]
+    fn constant_address_offset_is_invisible(
+        set_doublings in 0u32..2,
+        assoc in 1usize..4,
+        k_groups in 0u64..16,
+        k_lines in 1u64..64,
+        ops in proptest::collection::vec((0usize..4, 0u64..320u64, 1u64..160u64), 1..80)
+    ) {
+        let mut p = MemParams::tiny_test();
+        p.l2_bytes = p.line_size * (64 << set_doublings) * assoc as u64;
+        p.l2_ways = assoc;
+        let k = k_groups * 64 + k_lines;
+        let (a, b) = (MemorySystem::new(4, p.clone()), MemorySystem::new(4, p.clone()));
+        prop_assert!(a.extents_enabled(), "64+ sets must enable the summaries");
+        assert_offset_invariant(a, b, k, &ops)?;
+        let (mut a, mut b) = (MemorySystem::new(4, p.clone()), MemorySystem::new(4, p));
+        a.disable_extents();
+        b.disable_extents();
+        assert_offset_invariant(a, b, k, &ops)?;
     }
 }
