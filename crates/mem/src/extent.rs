@@ -20,15 +20,11 @@
 //! bit  24      virtual the group's directory span was never written
 //! ```
 //!
-//! Alongside the word, each group carries a 64-bit **residency mask**
-//! (bit `j` set ⇔ line `64·g + j` resident somewhere), maintained with
-//! the same exactness as the count (`popcount(mask) == count` always).
-//! The mask upgrades partially-resident *uniform* groups from fallback
-//! territory to fast-path territory: a touch subrange whose bits are all
-//! set in a uniform locally-owned group is a pure batched promote, one
-//! whose bits are all clear is a pure batched fill, and a mix splits
-//! into alternating runs by word operations — no per-line directory
-//! traffic in any of those cases.
+//! A touch subrange that clips a group (a partial *edge*) is classified
+//! from the count/uniform word alone, like a whole group: a group wholly
+//! resident in the touching core's cache is a batched promote of the
+//! subrange, an empty group (every line provably absent) a batched fill,
+//! and anything else takes the exact walk.
 //!
 //! A **virtual** group is one the whole-group fill placed without
 //! writing its 64 directory entries: the summary word itself is the
@@ -93,17 +89,6 @@ pub(crate) enum GroupState {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExtentMap {
     words: Vec<u32>,
-    /// Per-group residency bitmaps, parallel to `words`: bit `j` ⇔ line
-    /// `64·g + j` resident. `popcount(masks[g]) == words[g] & COUNT_MASK`.
-    masks: Vec<u64>,
-}
-
-/// The bits of an aligned run of `n` lines starting at in-group offset
-/// `j0`.
-#[inline]
-pub(crate) fn run_mask(j0: u32, n: u32) -> u64 {
-    debug_assert!(n >= 1 && j0 + n <= GROUP_LINES as u32);
-    (u64::MAX >> (64 - n)) << j0
 }
 
 #[inline]
@@ -144,11 +129,9 @@ impl ExtentMap {
     /// resident in `owner`'s cache at `way`, directory span unwritten.
     #[inline]
     pub(crate) fn seed_virtual(&mut self, group: u64, owner: u32, way: u32) {
-        let (w, mask) = self.state_mut(group);
+        let w = self.word_mut(group);
         debug_assert_eq!(*w & COUNT_MASK, 0, "virtual seed of a non-empty group");
-        debug_assert_eq!(*mask, 0);
         *w = word_of(GROUP_LINES as u32, true, owner, way) | VIRTUAL;
-        *mask = u64::MAX;
     }
 
     /// Take the `(owner, way)` of a virtual group, clearing its flag —
@@ -186,7 +169,7 @@ impl ExtentMap {
     pub(crate) fn note_evict_virtual(&mut self, line: u64, pending: &mut Vec<(u64, u32, u32)>) {
         let group = line >> GROUP_SHIFT;
         self.demote_virtual(group, pending);
-        self.apply_evicts(group, 1, 1u64 << (line & GROUP_MASK));
+        self.apply_evicts(group, 1);
     }
 
     /// [`ExtentMap::note_evicts`] with the virtual demotion of
@@ -201,80 +184,34 @@ impl ExtentMap {
         while i < victims.len() {
             let group = victims[i] >> GROUP_SHIFT;
             let mut n = 1u32;
-            let mut bits = 1u64 << (victims[i] & GROUP_MASK);
             while i + (n as usize) < victims.len()
                 && victims[i + n as usize] >> GROUP_SHIFT == group
             {
-                bits |= 1u64 << (victims[i + n as usize] & GROUP_MASK);
                 n += 1;
             }
             self.demote_virtual(group, pending);
-            self.apply_evicts(group, n, bits);
+            self.apply_evicts(group, n);
             i += n as usize;
         }
     }
 
+    /// The summary word of `group`, growing the map on first touch.
     #[inline]
     fn word_mut(&mut self, group: u64) -> &mut u32 {
-        self.state_mut(group).0
-    }
-
-    /// The summary word and residency mask of `group`, growing the map
-    /// on first touch.
-    #[inline]
-    fn state_mut(&mut self, group: u64) -> (&mut u32, &mut u64) {
         let g = group as usize;
         if g >= self.words.len() {
             // Doubling growth so a streaming fill pays O(1) amortized.
             let len = (g + 1).max(self.words.len() * 2);
             self.words.resize(len, 0);
-            self.masks.resize(len, 0);
         }
         // SAFETY: just grown to at least `g + 1`.
-        unsafe {
-            (
-                self.words.get_unchecked_mut(g),
-                self.masks.get_unchecked_mut(g),
-            )
-        }
-    }
-
-    /// The residency mask of `group` (a group beyond the map is empty).
-    #[inline]
-    pub(crate) fn group_mask(&self, group: u64) -> u64 {
-        self.masks.get(group as usize).copied().unwrap_or(0)
-    }
-
-    /// `Some((owner, way))` when every resident line of the (non-empty)
-    /// group provably sits in `owner`'s cache at `way` — the partial
-    /// twin of [`GroupState::Whole`], consumed with the mask by the
-    /// run-split fast path.
-    #[inline]
-    pub(crate) fn uniform_info(&self, group: u64) -> Option<(u32, u32)> {
-        let w = *self.words.get(group as usize)?;
-        (w & UNIFORM != 0 && w & COUNT_MASK != 0).then_some(((w >> 16) & 0xFF, (w >> 8) & 0xFF))
-    }
-
-    /// Whether the run-split fast path can serve `group` for `core`:
-    /// non-empty, uniform, and locally owned.
-    #[inline]
-    pub(crate) fn uniform_local(&self, group: u64, core: u32) -> bool {
-        self.words
-            .get(group as usize)
-            .is_some_and(|&w| w & UNIFORM != 0 && w & COUNT_MASK != 0 && (w >> 16) & 0xFF == core)
+        unsafe { self.words.get_unchecked_mut(g) }
     }
 
     /// One line of `group` filled into `owner`'s cache at `way`.
     #[inline]
     pub(crate) fn note_fill(&mut self, line: u64, owner: u32, way: u32) {
-        self.apply_fills(
-            line >> GROUP_SHIFT,
-            (line & GROUP_MASK) as u32,
-            1,
-            owner,
-            way,
-            true,
-        );
+        self.apply_fills(line >> GROUP_SHIFT, 1, owner, way, true);
     }
 
     /// `n` lines of `group` filled, all into `owner`'s cache; `uniform`
@@ -285,25 +222,14 @@ impl ExtentMap {
     /// lines sit, so a bit proven against the pre-eviction fills stays
     /// true of the survivors).
     #[inline]
-    pub(crate) fn apply_fills(
-        &mut self,
-        group: u64,
-        j0: u32,
-        n: u32,
-        owner: u32,
-        way: u32,
-        uniform: bool,
-    ) {
+    fn apply_fills(&mut self, group: u64, n: u32, owner: u32, way: u32, uniform: bool) {
         debug_assert!(n as u64 <= GROUP_LINES);
-        let bits = run_mask(j0, n);
-        let (w, mask) = self.state_mut(group);
+        let w = self.word_mut(group);
         debug_assert_eq!(
             *w & VIRTUAL,
             0,
             "fill into a virtual group (its lines are all resident)"
         );
-        debug_assert_eq!(*mask & bits, 0, "fill of already-resident lines");
-        *mask |= bits;
         let count = *w & COUNT_MASK;
         debug_assert!(count + n <= GROUP_LINES as u32, "group overfilled");
         if count == 0 {
@@ -313,7 +239,6 @@ impl ExtentMap {
                 *w & UNIFORM != 0 && uniform && (*w >> 8) & 0xFF == way && (*w >> 16) == owner;
             *w = word_of(count + n, keep, *w >> 16, (*w >> 8) & 0xFF);
         }
-        debug_assert_eq!(mask.count_ones(), *w & COUNT_MASK);
     }
 
     /// A run of consecutive lines starting at `first_line` was filled
@@ -340,14 +265,7 @@ impl ExtentMap {
             for &e in &entries[i + 1..i + chunk] {
                 uniform &= crate::linetab::slot_of(e) >> set_shift == way0;
             }
-            self.apply_fills(
-                group,
-                (line & GROUP_MASK) as u32,
-                chunk as u32,
-                owner,
-                way0,
-                uniform,
-            );
+            self.apply_fills(group, chunk as u32, owner, way0, uniform);
             i += chunk;
         }
     }
@@ -355,7 +273,7 @@ impl ExtentMap {
     /// One resident line of `line`'s group was evicted or invalidated.
     #[inline]
     pub(crate) fn note_evict(&mut self, line: u64) {
-        self.apply_evicts(line >> GROUP_SHIFT, 1, 1u64 << (line & GROUP_MASK));
+        self.apply_evicts(line >> GROUP_SHIFT, 1);
     }
 
     /// The lines in `victims` (in eviction order) were evicted. Runs of
@@ -367,29 +285,24 @@ impl ExtentMap {
         while i < victims.len() {
             let group = victims[i] >> GROUP_SHIFT;
             let mut n = 1u32;
-            let mut bits = 1u64 << (victims[i] & GROUP_MASK);
             while i + (n as usize) < victims.len()
                 && victims[i + n as usize] >> GROUP_SHIFT == group
             {
-                bits |= 1u64 << (victims[i + n as usize] & GROUP_MASK);
                 n += 1;
             }
-            self.apply_evicts(group, n, bits);
+            self.apply_evicts(group, n);
             i += n as usize;
         }
     }
 
     #[inline]
-    fn apply_evicts(&mut self, group: u64, n: u32, bits: u64) {
-        debug_assert_eq!(bits.count_ones(), n, "duplicate victims in one group");
-        let (w, mask) = self.state_mut(group);
+    fn apply_evicts(&mut self, group: u64, n: u32) {
+        let w = self.word_mut(group);
         debug_assert_eq!(
             *w & VIRTUAL,
             0,
             "decrement of a virtual group without materialization"
         );
-        debug_assert_eq!(*mask & bits, bits, "eviction of non-resident lines");
-        *mask &= !bits;
         let count = *w & COUNT_MASK;
         debug_assert!(count >= n, "eviction from an empty group summary");
         let left = count.saturating_sub(n);
@@ -400,7 +313,6 @@ impl ExtentMap {
         } else {
             (*w & !COUNT_MASK) | left
         };
-        debug_assert_eq!(mask.count_ones(), *w & COUNT_MASK);
     }
 
     /// The whole group was invalidated or displaced at once (the
@@ -410,11 +322,9 @@ impl ExtentMap {
     /// flag is dropped with the rest of the word.
     #[inline]
     pub(crate) fn clear_group(&mut self, group: u64) {
-        let (w, mask) = self.state_mut(group);
+        let w = self.word_mut(group);
         debug_assert_eq!(*w & COUNT_MASK, GROUP_LINES as u32);
-        debug_assert_eq!(*mask, u64::MAX);
         *w = 0;
-        *mask = 0;
     }
 
     /// Iterate `(group, count, uniform, owner, way, virt)` for every

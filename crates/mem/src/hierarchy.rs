@@ -122,12 +122,11 @@ pub struct ExtentStats {
     pub whole_c2c_groups: u64,
     /// Whole groups cold-filled without consulting the directory.
     pub whole_fill_groups: u64,
-    /// Lines classified all-hit by the residency mask of a uniform
-    /// locally-owned group (whole or partial), skipping the per-line
-    /// walk.
+    /// Lines of a partial range inside a group wholly resident in this
+    /// core's cache, promoted in one batch without the per-line walk.
     pub partial_hit_lines: u64,
-    /// Lines proven absent by the residency mask and batch-filled
-    /// without per-line directory validation.
+    /// Lines of a partial range inside an empty group, batch-filled
+    /// without directory validation.
     pub masked_fill_lines: u64,
     /// Lines that went through the exact per-line walk instead.
     pub fallback_lines: u64,
@@ -277,9 +276,11 @@ impl MemorySystem {
     /// one batched recency promotion, a wholly remote group one batched
     /// invalidation plus one batched fill, and a wholly absent group goes
     /// straight to the batched fill without reading (or validating) a
-    /// single directory entry. Groups that are mixed, partially resident,
-    /// or clipped by the range's edges fall back to the exact per-line
-    /// walk below, which also keeps the summaries up to date.
+    /// single directory entry. A range edge that clips a group takes the
+    /// same word: the local all-hit and absent cases stay batched. Mixed
+    /// groups, and edges of groups that are neither wholly local nor
+    /// empty, fall back to the exact per-line walk below, which also
+    /// keeps the summaries up to date.
     ///
     /// The per-line walk classifies against the way-indexed directory: a
     /// set-aligned strip resolves analytically with one conclusive
@@ -338,32 +339,36 @@ impl MemorySystem {
         let mut key = first;
         while key < end {
             if key & GROUP_MASK != 0 || end - key < GROUP_LINES {
-                // Partial group at a range edge: the residency mask
-                // usually proves enough — all-hit, all-absent, or an
-                // alternation of the two inside a uniform local group —
-                // to stay off the per-line walk entirely. Anything the
-                // mask can't prove walks per-line; a virtual group about
-                // to be punched partially remote materializes its span
-                // first, since the walk classifies through the
-                // directory.
+                // Partial group at a range edge, classified from the
+                // summary word exactly like a whole group: a group
+                // wholly resident here is a batched promote of the
+                // subrange (a virtual group stays virtual), an empty one
+                // a batched fill. Anything else walks per-line; a virtual
+                // group about to be punched partially remote
+                // materializes its span first, since the walk classifies
+                // through the directory.
+                let group = key >> GROUP_SHIFT;
                 let stop = end.min((key | GROUP_MASK) + 1);
-                if self.touch_masked(core, key, stop, counts, evictions) {
-                    key = stop;
-                    continue;
+                let n = stop - key;
+                match self.extents.classify(group) {
+                    GroupState::Whole { owner, way, .. } if owner as usize == core => {
+                        counts.hits += n;
+                        self.ext_partial_hits += n;
+                        self.caches[core].promote_uniform(LineAddr(key), way as u64, n as usize);
+                    }
+                    GroupState::Empty => {
+                        counts.dram += n;
+                        self.ext_masked_fill_lines += n;
+                        *evictions += self.fill_partial(core, key, n as usize);
+                    }
+                    _ => {
+                        if let Some((owner, way)) = self.extents.take_virtual(group) {
+                            self.write_group_dir(group, owner, way);
+                        }
+                        self.ext_fallback_lines += n;
+                        self.walk_exact::<true>(core, key, stop, counts, evictions);
+                    }
                 }
-                if let GroupState::Whole {
-                    owner,
-                    way,
-                    virt: true,
-                } = self.extents.classify(key >> GROUP_SHIFT)
-                {
-                    debug_assert_ne!(owner as usize, core, "local whole is mask-handled");
-                    let taken = self.extents.take_virtual(key >> GROUP_SHIFT);
-                    debug_assert_eq!(taken, Some((owner, way)));
-                    self.write_group_dir(key >> GROUP_SHIFT, owner, way);
-                }
-                self.ext_fallback_lines += stop - key;
-                self.walk_exact::<true>(core, key, stop, counts, evictions);
                 key = stop;
                 continue;
             }
@@ -413,21 +418,9 @@ impl MemorySystem {
                     key += GROUP_LINES;
                 }
                 GroupState::Mixed => {
-                    // A partially-resident group whose resident lines
-                    // all sit locally at one way splits into hit and
-                    // fill runs straight off the mask, with no per-line
-                    // directory traffic.
-                    if self.extents.uniform_local(key >> GROUP_SHIFT, core as u32) {
-                        let handled =
-                            self.touch_masked(core, key, key + GROUP_LINES, counts, evictions);
-                        debug_assert!(handled, "uniform local group not mask-handleable");
-                        key += GROUP_LINES;
-                        continue;
-                    }
                     let mut stop = key + GROUP_LINES;
                     while stop + GROUP_LINES <= end
                         && self.extents.classify(stop >> GROUP_SHIFT) == GroupState::Mixed
-                        && !self.extents.uniform_local(stop >> GROUP_SHIFT, core as u32)
                     {
                         stop += GROUP_LINES;
                     }
@@ -503,89 +496,9 @@ impl MemorySystem {
         evictions
     }
 
-    /// Serve `[key, stop)` — a subrange of one aligned group — from the
-    /// group's residency mask, without per-line directory traffic:
-    ///
-    /// * every line absent → one batched fill (absence is proven, so the
-    ///   per-line stale-entry validation of the exact walk is skipped);
-    /// * every line resident in a uniform locally-owned group → one
-    ///   batched recency promotion (a virtual group stays virtual);
-    /// * a mix of the two in a uniform local group → alternating hit and
-    ///   fill runs read straight off the mask bits, in line order.
-    ///
-    /// Returns `false` when the mask can't prove enough (some line
-    /// resident but the group is non-uniform or remotely owned) — the
-    /// caller falls back to the exact walk. Exactness of the run split:
-    /// the subrange's lines occupy distinct sets (≤ 64 consecutive
-    /// lines), fills insert only their own run's lines, and a fill's
-    /// victim shares its line's set, so it can never be another line of
-    /// this group — each set sees exactly the operation sequence the
-    /// per-line walk would have issued.
-    fn touch_masked(
-        &mut self,
-        core: usize,
-        key: u64,
-        stop: u64,
-        counts: &mut AccessCounts,
-        evictions: &mut u64,
-    ) -> bool {
-        let group = key >> GROUP_SHIFT;
-        let n = (stop - key) as u32;
-        let j0 = (key & GROUP_MASK) as u32;
-        let sub = crate::extent::run_mask(j0, n);
-        let mask = self.extents.group_mask(group);
-        let present = mask & sub;
-        if present == 0 {
-            counts.dram += n as u64;
-            self.ext_masked_fill_lines += n as u64;
-            *evictions += self.fill_partial(core, key, n as usize);
-            return true;
-        }
-        let Some((owner, way)) = self.extents.uniform_info(group) else {
-            return false;
-        };
-        if owner as usize != core {
-            return false;
-        }
-        if present == sub {
-            counts.hits += n as u64;
-            self.ext_partial_hits += n as u64;
-            self.caches[core].promote_uniform(LineAddr(key), way as u64, n as usize);
-            return true;
-        }
-        // Alternating runs. The mask snapshot stays valid across the
-        // loop: fills only set bits of runs already consumed, and a
-        // fill's victims never belong to this group.
-        let first = key - j0 as u64;
-        let mut bit = j0;
-        let end_bit = j0 + n;
-        while bit < end_bit {
-            let rest = mask >> bit;
-            let hit = rest & 1 != 0;
-            let run = if hit {
-                (!rest).trailing_zeros()
-            } else {
-                rest.trailing_zeros()
-            };
-            let len = run.min(end_bit - bit);
-            let line = first + bit as u64;
-            if hit {
-                counts.hits += len as u64;
-                self.ext_partial_hits += len as u64;
-                self.caches[core].promote_uniform(LineAddr(line), way as u64, len as usize);
-            } else {
-                counts.dram += len as u64;
-                self.ext_masked_fill_lines += len as u64;
-                *evictions += self.fill_partial(core, line, len as usize);
-            }
-            bit += len;
-        }
-        true
-    }
-
-    /// Batched fill of `n` consecutive lines proven absent everywhere
-    /// (their group's mask bits are clear): the generalization of
-    /// [`MemorySystem::fill_group`]'s materialized arm to a partial run.
+    /// Batched fill of `n` consecutive lines of one group the summary
+    /// proves empty: the generalization of [`MemorySystem::fill_group`]'s
+    /// materialized arm to a partial edge.
     fn fill_partial(&mut self, core: usize, key: u64, n: usize) -> u64 {
         debug_assert!(self.victims.is_empty());
         let mut victims = std::mem::take(&mut self.victims);
@@ -1001,13 +914,11 @@ impl MemorySystem {
             // residency (proven just above).
             let mut groups: std::collections::HashMap<u64, Vec<(usize, u32)>> =
                 std::collections::HashMap::new();
-            let mut gbits: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
             for (&line, &(owner, way)) in &census {
                 groups
                     .entry(line >> GROUP_SHIFT)
                     .or_default()
                     .push((owner, way));
-                *gbits.entry(line >> GROUP_SHIFT).or_default() |= 1u64 << (line & GROUP_MASK);
             }
             let mut summarized = 0usize;
             for (g, count, uniform, owner, way, _virt) in self.extents.iter_live() {
@@ -1019,11 +930,6 @@ impl MemorySystem {
                     live.len() as u32,
                     count,
                     "group {g} summary count != live lines"
-                );
-                assert_eq!(
-                    self.extents.group_mask(g),
-                    gbits[&g],
-                    "group {g} residency mask != census bits"
                 );
                 if uniform {
                     assert!(

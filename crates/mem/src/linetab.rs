@@ -24,7 +24,7 @@
 //! streaming eviction path free of scattered directory writes.
 //!
 //! Pages are allocated only where a path writes directory entries: the
-//! exact per-line walk, a masked partial-group fill, a non-virtual
+//! exact per-line walk, an empty-group edge fill, a non-virtual
 //! whole-group fill, or the materialisation of a virtual group. A whole
 //! group filled *virtually* keeps its directory in the extent summary
 //! word (see [`crate::extent`]) and never touches the table, so a stream

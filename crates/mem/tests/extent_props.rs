@@ -167,41 +167,79 @@ proptest! {
 #[test]
 fn fast_paths_engage_on_canonical_regimes() {
     // Deterministic witness that the O(1) paths actually run: cold
-    // sequential fill, all-hit replay, whole-extent migration.
-    let p = params_64_sets(2);
+    // sequential fill, all-hit replay, whole-extent migration, and the
+    // two partial-edge arms the summary word proves (a subrange of a
+    // group wholly resident here, a subrange of an empty group). Edges
+    // of any other group take the exact walk. Every touch is checked
+    // against the scanning oracle on a twin system.
+    let p = params_64_sets(4);
     let line = p.line_size;
-    let mut m = MemorySystem::new(2, p);
+    let mut m = MemorySystem::new(2, p.clone());
+    let mut twin = MemorySystem::new(2, p);
     assert!(m.extents_enabled());
-    let strip = AddrRange::new(0, 128 * line); // two aligned groups
+    let lines = |first: u64, n: u64| AddrRange::new(first * line, n * line);
+    let mut touch = |core: usize, r: AddrRange| {
+        let c = m.touch(core, r);
+        assert_eq!(c, twin.touch_reference(core, r), "touch({core}, {r:?})");
+        (c, m.extent_stats())
+    };
+    let strip = lines(0, 128); // groups 0 and 1
 
-    let c = m.touch(0, strip);
+    let (c, st) = touch(0, strip);
     assert_eq!(c.dram, 128);
-    assert_eq!(
-        m.extent_stats().whole_fill_groups,
-        2,
-        "cold fill is O(1) per group"
-    );
+    assert_eq!(st.whole_fill_groups, 2, "cold fill is O(1) per group");
 
-    let c = m.touch(0, strip);
+    let (c, st) = touch(0, strip);
     assert_eq!(c.hits, 128);
+    assert_eq!(st.whole_hit_groups, 2, "replay is O(1) per group");
+
+    // Group 3: placed whole (virtually) on core 0, then clipped from
+    // core 1. The group materializes its directory span, then walks.
+    let (c, st) = touch(0, lines(192, 64));
+    assert_eq!(c.dram, 64);
+    assert_eq!(st.whole_fill_groups, 3);
+    let (c, st) = touch(1, lines(192 + 8, 40));
+    assert_eq!(c.c2c, 40);
+    assert_eq!(st.fallback_lines, 40, "a remote edge falls back");
+
+    let (c, st) = touch(0, lines(8, 48));
+    assert_eq!(c.hits, 48);
     assert_eq!(
-        m.extent_stats().whole_hit_groups,
-        2,
-        "replay is O(1) per group"
+        st.partial_hit_lines, 48,
+        "an edge of a wholly local group is one batched promote"
+    );
+    assert_eq!(st.fallback_lines, 40);
+
+    let (c, st) = touch(1, strip);
+    assert_eq!(c.c2c, 128);
+    assert_eq!(st.whole_c2c_groups, 2, "migration is O(1) per group");
+    assert_eq!(
+        st.fallback_lines, 40,
+        "whole-group migration takes no exact-walk lines"
     );
 
-    let c = m.touch(1, strip);
-    assert_eq!(c.c2c, 128);
+    // Group 2, fresh: an edge of an empty group is a batched fill.
+    let (c, st) = touch(0, lines(128 + 8, 48));
+    assert_eq!(c.dram, 48);
     assert_eq!(
-        m.extent_stats().whole_c2c_groups,
-        2,
-        "migration is O(1) per group"
+        st.masked_fill_lines, 48,
+        "an edge of an empty group fills without the walk"
     );
+    assert_eq!(st.fallback_lines, 40);
+
+    // The rest of group 2: absent lines of a partly resident group. The
+    // word cannot prove them absent, so they take the exact walk.
+    let (c, st) = touch(0, lines(128 + 56, 8));
+    assert_eq!(c.dram, 8);
+    assert_eq!(st.masked_fill_lines, 48);
     assert_eq!(
-        m.extent_stats().fallback_lines,
-        0,
-        "no exact-walk lines in these regimes"
+        st.fallback_lines,
+        40 + 8,
+        "a partly resident edge falls back"
     );
+    assert_eq!(st.partial_hit_lines, 48);
+
+    assert_equivalent(&m, &twin, 2, 256);
     m.check_invariants();
 }
 
@@ -271,13 +309,12 @@ fn way_conflict_storm_demotes_summary_and_stays_exact() {
 }
 
 #[test]
-fn partial_eviction_inside_summarized_group_splits_on_the_mask() {
+fn partial_eviction_inside_summarized_group_falls_back_exactly() {
     // Punch a 3-line hole in a wholly-owned group via a sub-group
-    // aliasing touch (assoc 1): the group drops to Mixed, but its
-    // resident lines stay uniform and local, so the next full touch is
-    // served by the residency mask — hit runs promoted, the hole
-    // re-filled as a masked fill — with no exact-walk lines, while
-    // staying bit-identical to the oracle.
+    // aliasing touch (assoc 1): the group drops to Mixed, which the
+    // summary word cannot split into hit and fill runs, so the next full
+    // touch takes the exact walk for the whole group — and stays
+    // bit-identical to the oracle.
     let p = params_64_sets(1);
     let line = p.line_size;
     let mut fast = MemorySystem::new(1, p.clone());
@@ -298,19 +335,12 @@ fn partial_eviction_inside_summarized_group_splits_on_the_mask() {
     assert_eq!(cf.dram, 3);
     let after = fast.extent_stats();
     assert_eq!(
-        after.fallback_lines, before.fallback_lines,
-        "a uniform holed group must stay off the exact walk"
+        after.fallback_lines - before.fallback_lines,
+        64,
+        "a holed group takes the exact walk"
     );
-    assert_eq!(
-        after.partial_hit_lines - before.partial_hit_lines,
-        61,
-        "resident runs served by the mask"
-    );
-    assert_eq!(
-        after.masked_fill_lines - before.masked_fill_lines,
-        3,
-        "the hole re-filled as a masked fill"
-    );
+    assert_eq!(after.partial_hit_lines, before.partial_hit_lines);
+    assert_eq!(after.masked_fill_lines, before.masked_fill_lines);
     assert_equivalent(&fast, &slow, 1, 128);
     fast.check_invariants();
 }
